@@ -39,9 +39,14 @@ from ..sta.elmore import (
 from ..perf import PROFILER
 from ..runtime import faults
 from ..sta.graph import TimingGraph
-from .cell_prop import SLEW_CLIP_MAX, cell_backward_level, cell_forward_level
+from .cell_prop import (
+    SLEW_CLIP_MAX,
+    cell_backward_level,
+    cell_forward_level,
+    plan_cell_levels,
+)
 from .elmore_grad import elmore_backward
-from .net_prop import net_backward_level, net_forward_level
+from .net_prop import net_backward_level, net_forward_level, plan_net_levels
 from .scatter import scatter_accumulate_at, scatter_add
 from .smoothing import lse_min, soft_clamp_neg, soft_clamp_neg_grad
 
@@ -104,6 +109,13 @@ class DifferentiableTimer:
                 f"expected one of {WIRE_DELAY_MODELS}"
             )
         self.wire_delay_model = wire_delay_model
+        # Level plans: the placement-independent gather/scatter indices of
+        # every level, built once here and replayed by every forward and
+        # backward sweep.  Index arrays only - LUT values are always read
+        # from the live bank.
+        self._levels = list(
+            zip(plan_net_levels(self.graph), plan_cell_levels(self.graph))
+        )[1:]
 
     # ------------------------------------------------------------------
     # Forward
@@ -176,26 +188,7 @@ class DifferentiableTimer:
         )
 
         with PROFILER.stage("difftimer.forward.levels"):
-            for level in range(1, graph.n_levels):
-                sl = graph.net_arcs.level_slice(level)
-                if sl.stop > sl.start:
-                    with PROFILER.stage("difftimer.forward.net_level"):
-                        net_forward_level(
-                            graph.net_sink[sl], graph.net_src[sl],
-                            net_delay, impulse2, at, slew,
-                        )
-                sl = graph.cell_arcs.level_slice(level)
-                if sl.stop > sl.start:
-                    with PROFILER.stage("difftimer.forward.cell_level"):
-                        cell_forward_level(
-                            sl, graph.c_src, graph.c_dst,
-                            graph.c_tin, graph.c_tout,
-                            graph.c_lut_delay, graph.c_lut_slew, graph.lutbank,
-                            driver_load, gamma, at, slew,
-                            tape.at_cand, tape.slew_cand,
-                            tape.dd_dslew, tape.dd_dload,
-                            tape.ds_dslew, tape.ds_dload,
-                        )
+            self._propagate(tape)
 
         # ------------------------------------------------------------------
         # Endpoint slacks, smoothed TNS/WNS.
@@ -258,7 +251,6 @@ class DifferentiableTimer:
         graph = self.graph
         gamma = self.gamma
         n_pins = design.n_pins
-        at, slew = tape.at, tape.slew
 
         # Fault-injection hook: a due timer_exc fault emulates a kernel
         # crash mid-backward (inert outside armed guarded placer runs).
@@ -306,26 +298,9 @@ class DifferentiableTimer:
             )
 
         with PROFILER.stage("difftimer.backward.levels"):
-            for level in range(graph.n_levels - 1, 0, -1):
-                sl = graph.cell_arcs.level_slice(level)
-                if sl.stop > sl.start:
-                    with PROFILER.stage("difftimer.backward.cell_level"):
-                        cell_backward_level(
-                            sl, graph.c_src, graph.c_dst,
-                            graph.c_tin, graph.c_tout,
-                            gamma, at, slew,
-                            tape.at_cand, tape.slew_cand,
-                            tape.dd_dslew, tape.dd_dload,
-                            tape.ds_dslew, tape.ds_dload,
-                            g_at, g_slew, g_load,
-                        )
-                sl = graph.net_arcs.level_slice(level)
-                if sl.stop > sl.start:
-                    with PROFILER.stage("difftimer.backward.net_level"):
-                        net_backward_level(
-                            graph.net_sink[sl], graph.net_src[sl],
-                            slew, g_at, g_slew, g_net_delay, g_impulse2,
-                        )
+            self._backpropagate(
+                tape, g_at, g_slew, g_load, g_net_delay, g_impulse2
+            )
 
         # Map per-pin gradients onto forest nodes and run Elmore backward.
         forest = tape.forest
@@ -366,6 +341,54 @@ class DifferentiableTimer:
         g_cx[design.cell_fixed] = 0.0
         g_cy[design.cell_fixed] = 0.0
         return g_cx, g_cy
+
+    # ------------------------------------------------------------------
+    # Level sweeps: replay the level plans built in __init__.
+    # ------------------------------------------------------------------
+    def _propagate(self, tape: TimerTape) -> None:
+        """Levelised forward AT/slew propagation, in place on ``tape``."""
+        lutbank = self.graph.lutbank
+        at, slew = tape.at, tape.slew
+        for net, cell in self._levels:
+            if net is not None:
+                with PROFILER.stage("difftimer.forward.net_level"):
+                    net_forward_level(
+                        net, tape.net_delay, tape.impulse2, at, slew
+                    )
+            if cell is not None:
+                with PROFILER.stage("difftimer.forward.cell_level"):
+                    cell_forward_level(
+                        cell, lutbank, tape.driver_load, self.gamma, at, slew,
+                        tape.at_cand, tape.slew_cand,
+                        tape.dd_dslew, tape.dd_dload,
+                        tape.ds_dslew, tape.ds_dload,
+                    )
+
+    def _backpropagate(
+        self,
+        tape: TimerTape,
+        g_at: np.ndarray,
+        g_slew: np.ndarray,
+        g_load: np.ndarray,
+        g_net_delay: np.ndarray,
+        g_impulse2: np.ndarray,
+    ) -> None:
+        """Levelised adjoint sweep, accumulating into the ``g_*`` arrays."""
+        for net, cell in reversed(self._levels):
+            if cell is not None:
+                with PROFILER.stage("difftimer.backward.cell_level"):
+                    cell_backward_level(
+                        cell, self.gamma, tape.at, tape.slew,
+                        tape.at_cand, tape.slew_cand,
+                        tape.dd_dslew, tape.dd_dload,
+                        tape.ds_dslew, tape.ds_dload,
+                        g_at, g_slew, g_load,
+                    )
+            if net is not None:
+                with PROFILER.stage("difftimer.backward.net_level"):
+                    net_backward_level(
+                        net, tape.slew, g_at, g_slew, g_net_delay, g_impulse2
+                    )
 
     # ------------------------------------------------------------------
     def tns_wns_with_grad(

@@ -47,7 +47,6 @@ __all__ = [
     "scatter_add_rows",
     "scatter_accumulate",
     "scatter_accumulate_at",
-    "scatter_accumulate_rows",
 ]
 
 
@@ -135,14 +134,4 @@ def scatter_accumulate_at(
     """
     flat, values = xp.broadcast_arrays(rows * out.shape[1] + cols, values)
     scatter_accumulate(_flat_view(out), flat.ravel(), values.ravel())
-    return out
-
-
-def scatter_accumulate_rows(
-    out: xp.ndarray, rows: xp.ndarray, values: xp.ndarray
-) -> xp.ndarray:
-    """In-place ``np.add.at(out, rows, values)`` row scatter on ``(n, c)``."""
-    c = out.shape[1]
-    flat = (rows[:, None] * c + xp.arange(c)).ravel()
-    scatter_accumulate(_flat_view(out), flat, values.ravel())
     return out

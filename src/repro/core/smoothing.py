@@ -101,15 +101,22 @@ def segment_lse_max(
     ``candidates[i]`` belongs to group ``segment_ids[i]``; groups with no
     candidates return ``empty_value``.  Implemented in shifted form so huge
     negative sentinels contribute zero weight rather than NaNs.
+
+    A NaN candidate makes its group's result NaN without a floating-point
+    warning: the scatter-max skips NaNs (``fmax``), the NaN then flows
+    through the shifted sum, and a NaN sum still counts as non-empty, so
+    a poisoned input reaches the caller's non-finite guard instead of
+    being replaced by ``empty_value``.
     """
     m = xp.full(n_segments, _SENTINEL, dtype=xp.float64)
-    xp.maximum.at(m, segment_ids, candidates)
+    xp.fmax.at(m, segment_ids, candidates)
     shifted = xp.exp(
         xp.maximum((candidates - m[segment_ids]) / gamma, -700.0)
     )
     s = scatter_add(segment_ids, shifted, n_segments)
     out = xp.full(n_segments, empty_value, dtype=xp.float64)
-    nonempty = s > 0
+    # A non-empty group sums to >= 1 (its maximum adds exp(0)), or NaN.
+    nonempty = s != 0.0
     out[nonempty] = m[nonempty] + gamma * xp.log(s[nonempty])
     return out
 

@@ -64,7 +64,7 @@ CACHE_ENV_VAR = "REPRO_DESIGN_CACHE"
 
 #: Bundle file magic + format version.  Bump when the payload layout
 #: changes; old files then read as misses and are regenerated.
-_MAGIC = b"RDCB0001"
+_MAGIC = b"RDCB0002"
 
 _CHECKSUM_BYTES = hashlib.sha256(b"").digest_size
 

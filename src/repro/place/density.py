@@ -135,6 +135,8 @@ class DensityModel:
         )
         denom[0, 0] = 1.0  # DC mode is projected out before division
         self._denominator = denom
+        # The transforms' backend, resolved once like the FFT plans' below.
+        self._be = get_backend()
 
         # Planned-path state, all built once: the rfft DCT plans and the
         # reciprocal denominator (per-iteration multiply, not divide).
@@ -204,13 +206,12 @@ class DensityModel:
 
     def _solve_poisson(self, rho: xp.ndarray) -> xp.ndarray:
         """Reference spectral Poisson solve (scipy DCT round-trip)."""
-        be = get_backend()
         source = rho / self.bin_area
         source = source - source.mean()
-        coeff = be.dctn(source, type=2, norm="ortho")
+        coeff = self._be.dctn(source, type=2, norm="ortho")
         coeff = coeff / self._denominator
         coeff[0, 0] = 0.0
-        return be.idctn(coeff, type=2, norm="ortho")
+        return self._be.idctn(coeff, type=2, norm="ortho")
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.cell_prop import SLEW_CLIP_MAX, cell_forward_exact
-from ..core.net_prop import net_forward_level
+from ..core.net_prop import net_forward_level, net_level_plan
 from ..netlist.design import Design
 from ..netlist.library import FALL, RISE
 from ..perf import PROFILER
@@ -375,7 +375,7 @@ class IncrementalTimer:
         net_sinks = pins[net_mask]
         if len(net_sinks):
             net_forward_level(
-                net_sinks, srcs[net_mask],
+                net_level_plan(net_sinks, srcs[net_mask]),
                 self.net_delay, self.impulse2, self.at, self.slew,
             )
         cell_sinks = pins[~net_mask]

@@ -26,6 +26,32 @@ def _pad_axis(axis: np.ndarray) -> np.ndarray:
     return np.array([axis[0], axis[0] + 1.0])
 
 
+def _inner_knots(axes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``(n - 2, k)`` interior knots ``axis[1 : len - 1]`` per table.
+
+    Padding is NaN, which compares false with every query, so the count
+    of entries ``<= q`` is the table's interpolation segment for any ``q``
+    (clamped to ``[0, len - 2]``; NaN queries land in segment 0).
+    """
+    inner = np.full((axes.shape[1] - 2, len(axes)), np.nan)
+    for t, n in enumerate(lengths):
+        inner[: n - 2, t] = axes[t, 1 : n - 1]
+    return inner
+
+
+def _segment(inner: np.ndarray, ids: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per query, the number of its table's interior knots ``<= q``.
+
+    One knot row at a time: ``(n - 2)`` gathers of ``len(q)`` from a tiny
+    table, instead of one ``(n - 2, Q)`` gather and a reduction over its
+    short axis, which costs several times more.
+    """
+    seg = np.zeros(len(q), dtype=np.int64)
+    for knots in inner:
+        seg += knots[ids] <= q
+    return seg
+
+
 class LutBank:
     """A registry of LUTs with batched bilinear lookup.
 
@@ -43,6 +69,9 @@ class LutBank:
         self.values: np.ndarray
         self.x_len: np.ndarray
         self.y_len: np.ndarray
+        # Segment-search tables, built by finalize (see _inner_knots).
+        self._x_inner: np.ndarray
+        self._y_inner: np.ndarray
 
     def register(self, lut: LUT) -> int:
         """Intern a LUT (deduplicated by object identity); returns its id."""
@@ -70,6 +99,8 @@ class LutBank:
             self.values = np.zeros((0, 2, 2))
             self.x_len = np.zeros(0, dtype=np.int64)
             self.y_len = np.zeros(0, dtype=np.int64)
+            self._x_inner = np.zeros((0, 0))
+            self._y_inner = np.zeros((0, 0))
             return
         xs = [_pad_axis(lut.x) for lut in self._luts]
         ys = [_pad_axis(lut.y) for lut in self._luts]
@@ -93,6 +124,8 @@ class LutBank:
             if v.shape[1] == 1 and len(ay) == 2:
                 v = np.hstack([v, v])
             self.values[i, : v.shape[0], : v.shape[1]] = v
+        self._x_inner = _inner_knots(self.x, self.x_len)
+        self._y_inner = _inner_knots(self.y, self.y_len)
 
     def lookup_with_grad(
         self, ids: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -108,28 +141,35 @@ class LutBank:
         ids = np.asarray(ids, dtype=np.int64)
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        ids, x, y = np.broadcast_arrays(ids, x, y)
+        if not ids.shape == x.shape == y.shape:
+            ids, x, y = np.broadcast_arrays(ids, x, y)
         shape = ids.shape
         ids, x, y = ids.ravel(), x.ravel(), y.ravel()
 
-        ax = self.x[ids]  # (Q, nx), padded with +inf
-        ay = self.y[ids]
-        i = np.clip(
-            np.sum(ax <= x[:, None], axis=1) - 1, 0, self.x_len[ids] - 2
-        )
-        j = np.clip(
-            np.sum(ay <= y[:, None], axis=1) - 1, 0, self.y_len[ids] - 2
-        )
-        q = np.arange(len(ids))
-        x0 = ax[q, i]
-        x1 = ax[q, i + 1]
-        y0 = ay[q, j]
-        y1 = ay[q, j + 1]
-        v = self.values[ids]
-        q00 = v[q, i, j]
-        q01 = v[q, i, j + 1]
-        q10 = v[q, i + 1, j]
-        q11 = v[q, i + 1, j + 1]
+        # Segment index = number of interior knots <= the query, which is
+        # the first/last segment outside the table (linear extrapolation).
+        # The bracketing knots and the four corner values are then read by
+        # flat index, so no per-query (nx, ny) value block is gathered.
+        nx = self.x.shape[1]
+        ny = self.y.shape[1]
+        i = _segment(self._x_inner, ids, x)
+        j = _segment(self._y_inner, ids, y)
+        xi = ids * nx + i
+        yj = ids * ny + j
+        ax = self.x.reshape(-1)
+        ay = self.y.reshape(-1)
+        x0 = ax[xi]
+        x1 = ax[xi + 1]
+        y0 = ay[yj]
+        y1 = ay[yj + 1]
+        # Read through the live bank so in-place edits (fault injection)
+        # reach every lookup.
+        corner = xi * ny + j
+        v = self.values.reshape(-1)
+        q00 = v[corner]
+        q01 = v[corner + 1]
+        q10 = v[corner + ny]
+        q11 = v[corner + ny + 1]
         tx = (x - x0) / (x1 - x0)
         ty = (y - y0) / (y1 - y0)
         v0 = q00 + ty * (q01 - q00)

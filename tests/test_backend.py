@@ -13,6 +13,7 @@ from repro.core.backend import (
     available_backends,
     backend_name,
     get_backend,
+    reset_backend,
     set_backend,
     to_numpy,
     use_backend,
@@ -22,15 +23,19 @@ from repro.core.backend import (
 
 @pytest.fixture(autouse=True)
 def _restore_selection():
-    """Reset explicit selection and env override around every test."""
-    prev_active = backend_mod._active
+    """Reset selection, ``xp`` memo and env override around every test.
+
+    Goes through :func:`reset_backend` rather than writing module state,
+    so the proxy's memo can never outlive the selection it came from.
+    """
     prev_env = os.environ.get(BACKEND_ENV)
+    reset_backend()
     yield
-    backend_mod._active = prev_active
     if prev_env is None:
         os.environ.pop(BACKEND_ENV, None)
     else:
         os.environ[BACKEND_ENV] = prev_env
+    reset_backend()
 
 
 class TestXpProxy:
@@ -53,12 +58,10 @@ class TestXpProxy:
 class TestSelection:
     def test_default_is_numpy(self):
         os.environ.pop(BACKEND_ENV, None)
-        backend_mod._active = None
         assert backend_name() == "numpy"
         assert get_backend().name == "numpy"
 
     def test_env_var_selects_backend(self):
-        backend_mod._active = None
         os.environ[BACKEND_ENV] = "numpy"
         assert backend_name() == "numpy"
         assert get_backend().name == "numpy"
@@ -73,18 +76,90 @@ class TestSelection:
             set_backend("jax")
 
     def test_use_backend_scopes_and_restores(self):
-        backend_mod._active = None
+        os.environ[BACKEND_ENV] = "torch"
         with use_backend("numpy") as be:
             assert be.name == "numpy"
-            assert backend_mod._active == "numpy"
-        assert backend_mod._active is None
+            assert backend_name() == "numpy"
+        assert backend_name() == "torch"
 
     def test_use_backend_restores_on_error(self):
-        backend_mod._active = None
+        os.environ[BACKEND_ENV] = "torch"
         with pytest.raises(RuntimeError, match="boom"):
             with use_backend("numpy"):
                 raise RuntimeError("boom")
-        assert backend_mod._active is None
+        assert backend_name() == "torch"
+
+
+class _MarkedNamespace:
+    """numpy plus a ``marker`` attribute naming the namespace."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class _FakeBackend(backend_mod.NumpyBackend):
+    name = "fake"
+
+    def _resolve_namespace(self):
+        super()._resolve_namespace()
+        return _MarkedNamespace("fake")
+
+
+@pytest.fixture()
+def fake_backend(monkeypatch):
+    """Register a numpy-backed ``fake`` backend for the test's duration."""
+    monkeypatch.setitem(backend_mod._FACTORIES, "fake", _FakeBackend)
+    yield "fake"
+    backend_mod._instances.pop("fake", None)
+
+
+class TestXpProxyCache:
+    """``xp`` resolves once; every selection change reaches it."""
+
+    def test_resolves_backend_once(self, monkeypatch):
+        calls = []
+        real = backend_mod.get_backend
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(backend_mod, "get_backend", counting)
+        reset_backend()
+        for _ in range(100):
+            xp.exp, xp.zeros, xp.float64
+        assert len(calls) == 1
+        assert xp.exp is np.exp
+
+    def test_set_backend_takes_effect(self, fake_backend):
+        assert not hasattr(xp, "marker")
+        set_backend(fake_backend)
+        assert xp.marker == "fake"
+        set_backend("numpy")
+        assert not hasattr(xp, "marker")
+        assert xp.exp is np.exp
+
+    def test_use_backend_exit_takes_effect(self, fake_backend):
+        xp.exp  # memoised under numpy before the scope opens
+        with use_backend(fake_backend):
+            assert xp.marker == "fake"
+        assert not hasattr(xp, "marker")
+        assert xp.exp is np.exp
+
+    def test_changed_env_takes_effect(self, fake_backend, monkeypatch):
+        xp.exp
+        monkeypatch.setenv(BACKEND_ENV, fake_backend)
+        # get_backend() reads the variable on every call ...
+        assert get_backend().name == "fake"
+        # ... xp once per resolution, so a running process resets it.
+        reset_backend()
+        assert xp.marker == "fake"
+        monkeypatch.delenv(BACKEND_ENV)
+        reset_backend()
+        assert not hasattr(xp, "marker")
 
 
 class TestAvailability:
@@ -108,7 +183,6 @@ class TestAvailability:
             assert be.name == name
 
     def test_selection_does_not_leak_on_failure(self):
-        backend_mod._active = None
         if "cupy" in available_backends():
             pytest.skip("cupy importable in this environment")
         with pytest.raises(BackendUnavailableError):

@@ -69,7 +69,10 @@ class TestBackwardFiniteDifference:
         kernel rename breaks this file loudly instead of leaving the
         registry's gradcheck pointing at a test that no longer touches
         it (reprolint ``contract-closure``)."""
+        import inspect
+
         from repro.contracts import KERNEL_REGISTRY
+        from repro.core import difftimer as difftimer_mod
         from repro.core.cell_prop import cell_backward_level, cell_forward_level
         from repro.core.net_prop import net_backward_level, net_forward_level
 
@@ -79,8 +82,15 @@ class TestBackwardFiniteDifference:
         ):
             key = f"{forward.__module__}.{forward.__qualname__}"
             contract = KERNEL_REGISTRY[key]
-            assert contract["backward"].endswith(backward.__qualname__)
+            assert contract["backward"] == (
+                f"{backward.__module__}.{backward.__qualname__}"
+            )
             assert "test_difftimer.py" in contract["gradcheck"]
+            # The timer sweeps these very kernels, one level plan per call.
+            for kernel in (forward, backward):
+                assert getattr(difftimer_mod, kernel.__name__) is kernel
+                first = next(iter(inspect.signature(kernel).parameters))
+                assert first == "plan"
 
     @pytest.mark.parametrize(
         "d_tns,d_wns", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)]

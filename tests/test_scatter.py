@@ -27,7 +27,6 @@ from repro.core import DifferentiableTimer
 from repro.core.scatter import (
     scatter_accumulate,
     scatter_accumulate_at,
-    scatter_accumulate_rows,
     scatter_add,
     scatter_add_2d,
     scatter_add_rows,
@@ -64,11 +63,6 @@ def ref_scatter_accumulate(out, index, values):
 
 def ref_scatter_accumulate_at(out, rows, cols, values):
     np.add.at(out, (rows, cols), values)
-    return out
-
-
-def ref_scatter_accumulate_rows(out, rows, values):
-    np.add.at(out, rows, values)
     return out
 
 
@@ -121,15 +115,6 @@ class TestHelperEquivalence:
             ref_scatter_accumulate(base.copy(), index, values),
         )
 
-    def test_scatter_accumulate_rows(self, case):
-        index, values, size = case
-        base = np.random.default_rng(8).standard_normal((size, 2))
-        rows = np.stack([values, 2.0 * values], axis=1)
-        assert_bit_identical(
-            scatter_accumulate_rows(base.copy(), index, rows),
-            ref_scatter_accumulate_rows(base.copy(), index, rows),
-        )
-
     def test_scatter_accumulate_at_plain(self, case):
         index, values, size = case
         cols = np.random.default_rng(9).integers(0, 3, index.size)
@@ -165,7 +150,9 @@ class TestHelperEquivalence:
     def test_non_contiguous_target_raises(self):
         out = np.zeros((4, 6)).T  # F-ordered view: reshape(-1) would copy
         with pytest.raises(ValueError, match="C-contiguous"):
-            scatter_accumulate_rows(out, np.array([0, 1]), np.ones((2, 4)))
+            scatter_accumulate_at(
+                out, np.array([0, 1]), np.array([2, 3]), np.ones(2)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +166,8 @@ _PATCH_SITES = (
     (smoothing_mod, "scatter_add", ref_scatter_add),
     (elmore_grad_mod, "scatter_add", ref_scatter_add),
     (elmore_grad_mod, "scatter_accumulate", ref_scatter_accumulate),
-    (net_prop, "scatter_accumulate_rows", ref_scatter_accumulate_rows),
+    (net_prop, "scatter_accumulate", ref_scatter_accumulate),
     (cell_prop, "scatter_accumulate", ref_scatter_accumulate),
-    (cell_prop, "scatter_accumulate_at", ref_scatter_accumulate_at),
     (difftimer_mod, "scatter_add", ref_scatter_add),
     (difftimer_mod, "scatter_accumulate_at", ref_scatter_accumulate_at),
 )
