@@ -60,11 +60,7 @@ class NoScatterAddAt(Rule):
     cacheable = True
 
     _UFUNCS = ("add", "subtract")
-    _ALLOWED_FILES = (
-        "benchmarks/bench_scatter.py",
-        # Carries the seed density pipeline verbatim as its baseline.
-        "benchmarks/bench_density.py",
-    )
+    _ALLOWED_FILES = ("benchmarks/bench_scatter.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         if _in_tests(ctx) or ctx.relpath in self._ALLOWED_FILES:
@@ -405,15 +401,14 @@ class BackwardPair(Rule):
 class BackendShimOnly(Rule):
     """Ported kernel modules reach arrays only through the backend shim.
 
-    The hot kernels (density, wirelength, smoothing, scatter, the FFT
-    plans) were ported to the ``xp`` namespace of
-    :mod:`repro.core.backend` so the same source runs on NumPy, CuPy or
-    torch.  A direct ``import numpy`` / ``scipy.fft`` call inside one of
+    The hot kernels (density, wirelength, smoothing, scatter) were
+    ported to the ``xp`` namespace of :mod:`repro.core.backend` so the
+    same source runs on NumPy, CuPy or torch.  A direct ``import numpy`` / ``scipy.fft`` call inside one of
     them silently pins that kernel back to the host CPU - it keeps
     working under the default backend, which is exactly why it needs a
-    lint rule rather than a test.  FFT entry points live on the backend
-    object (``get_backend().rfft`` etc.); everything else goes through
-    ``xp``.
+    lint rule rather than a test.  The DCT entry points live on the
+    backend object (``get_backend().dctn``); everything else goes
+    through ``xp``.
     """
 
     id = "backend-shim-only"
@@ -427,7 +422,6 @@ class BackendShimOnly(Rule):
     #: are converted; the rule intentionally does NOT cover the rest of
     #: the codebase, where direct numpy use is normal and correct.
     _KERNEL_MODULES = (
-        "src/repro/core/fftplan.py",
         "src/repro/core/scatter.py",
         "src/repro/core/smoothing.py",
         "src/repro/place/density.py",

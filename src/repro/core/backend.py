@@ -32,10 +32,10 @@ plain instance-attribute read: about 50 ns against about 40 ns for
 on every access - environment read plus backend lookup - cost about
 3.6 us.  :func:`set_backend`, :func:`use_backend` (on enter and exit)
 and :func:`reset_backend` drop the memo, so a new selection takes
-effect on the next access.  FFT-adjacent entry points that historically
-came from ``scipy.fft`` (``dctn``/``idctn``/``rfft``/``irfft``) are methods
-on the backend object, which keeps ``scipy`` out of the kernels and
-gives non-NumPy backends a place to supply their own transforms.  The
+effect on the next access.  The DCT entry points that historically
+came from ``scipy.fft`` (``dctn``/``idctn``) are methods on the
+backend object, which keeps ``scipy`` out of the kernels and gives
+non-NumPy backends a place to supply their own transforms.  The
 ``backend-shim-only`` reprolint rule enforces that the ported kernel
 modules never bypass this module.
 """
@@ -108,12 +108,6 @@ class Backend:
         return self.xp.asarray(array, dtype=dtype)
 
     # -- transforms ----------------------------------------------------
-    def rfft(self, a: Any, n: Optional[int] = None, axis: int = -1) -> Any:
-        return self.xp.fft.rfft(a, n=n, axis=axis)
-
-    def irfft(self, a: Any, n: Optional[int] = None, axis: int = -1) -> Any:
-        return self.xp.fft.irfft(a, n=n, axis=axis)
-
     def dctn(self, a: Any, type: int = 2, norm: str = "ortho") -> Any:
         raise BackendUnavailableError(
             self.name, "backend does not provide dctn"
@@ -126,13 +120,7 @@ class Backend:
 
 
 class NumpyBackend(Backend):
-    """Default backend: the literal ``numpy`` module, scipy transforms.
-
-    The FFT entry points route to ``scipy.fft`` rather than
-    ``numpy.fft``: numpy's FFT always promotes to double precision,
-    while scipy transforms float32 natively in complex64 - which the
-    fp32 density fast path depends on.
-    """
+    """Default backend: the literal ``numpy`` module, scipy transforms."""
 
     name = "numpy"
 
@@ -146,21 +134,11 @@ class NumpyBackend(Backend):
     def to_numpy(self, array: Any) -> Any:
         return self.xp.asarray(array)
 
-    def rfft(self, a: Any, n: Optional[int] = None, axis: int = -1) -> Any:
-        return self._sfft.rfft(a, n=n, axis=axis)
-
-    def irfft(self, a: Any, n: Optional[int] = None, axis: int = -1) -> Any:
-        return self._sfft.irfft(a, n=n, axis=axis)
-
     def dctn(self, a: Any, type: int = 2, norm: str = "ortho") -> Any:
-        from scipy.fft import dctn
-
-        return dctn(a, type=type, norm=norm)
+        return self._sfft.dctn(a, type=type, norm=norm)
 
     def idctn(self, a: Any, type: int = 2, norm: str = "ortho") -> Any:
-        from scipy.fft import idctn
-
-        return idctn(a, type=type, norm=norm)
+        return self._sfft.idctn(a, type=type, norm=norm)
 
 
 class CupyBackend(Backend):

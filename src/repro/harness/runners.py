@@ -170,14 +170,9 @@ def run_mode(
                 "trace_every": popts.trace_every,
                 "checkpoint_every": popts.checkpoint_every,
                 "with_trace_sta": with_trace_sta,
-                # Numerics provenance: which array backend and density
-                # pipeline produced this run.  Options diffs are
-                # non-gating notes in `compare`, so a planned-vs-scipy
-                # comparison reports the provenance without failing on
-                # it - the metrics themselves are what gate.
+                # Numerics provenance: which array backend produced this
+                # run.  Options diffs are non-gating notes in `compare`.
                 "backend": backend_name(),
-                "density_solver": popts.density_solver,
-                "density_precision": popts.density_precision,
             },
             run_id=run_id,
             resume=bool(popts.resume_from),

@@ -97,10 +97,6 @@ class PlacerOptions:
     seed: int = 0
     trace_every: int = 1
     verbose: bool = False
-    # Density pipeline: "scipy" is the bit-stable reference, "planned"
-    # the rfft fast path; fp32 applies to the planned spectral solve.
-    density_solver: str = "scipy"
-    density_precision: str = "fp64"
     # ------------------------------------------------------------------
     # Guarded runtime (repro.runtime)
     # ------------------------------------------------------------------
@@ -193,11 +189,7 @@ class GlobalPlacer:
         if n_bins is None:
             n_bins = _auto_bins(design)
         self.density = DensityModel(
-            design,
-            n_bins,
-            self.options.target_density,
-            solver=self.options.density_solver,
-            precision=self.options.density_precision,
+            design, n_bins, self.options.target_density
         )
         self.movable = ~design.cell_fixed
         #: L1 norm of the latest wirelength gradient; extra-gradient hooks

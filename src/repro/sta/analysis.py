@@ -176,10 +176,12 @@ class StaticTimingAnalyzer:
         slack = rat - at
         ep = graph.endpoint_pins
         endpoint_slack = slack[ep].min(axis=1) if len(ep) else np.zeros(0)
-        finite = endpoint_slack < _POS_INF / 2
-        if np.any(finite):
-            wns = float(endpoint_slack[finite].min())
-            tns = float(np.minimum(endpoint_slack[finite], 0.0).sum())
+        # Only unconstrained (+inf sentinel) endpoints are dropped; a NaN
+        # slack (corrupted LUTs) must reach WNS/TNS, not read as clean.
+        constrained = ~(endpoint_slack >= _POS_INF / 2)
+        if np.any(constrained):
+            wns = float(endpoint_slack[constrained].min())
+            tns = float(np.minimum(endpoint_slack[constrained], 0.0).sum())
         else:
             wns, tns = 0.0, 0.0
 
@@ -273,8 +275,10 @@ class StaticTimingAnalyzer:
                 delay = graph.lutbank.lookup(graph.c_lut_delay[sl], slew_q, load_out)
                 out_slew = graph.lutbank.lookup(graph.c_lut_slew[sl], slew_q, load_out)
                 idx = dst * 2 + tout
-                reduce_at(at_flat, idx, at[src, tin] + delay)
-                reduce_at(slew_flat, idx, out_slew)
+                # reprolint: allow[no-silent-nanfix] NaN from corrupted LUTs propagates through the max/min merge to WNS/TNS; only numpy's warning is silenced
+                with np.errstate(invalid="ignore"):
+                    reduce_at(at_flat, idx, at[src, tin] + delay)
+                    reduce_at(slew_flat, idx, out_slew)
         return at, slew
 
     def _required_times(
@@ -313,14 +317,20 @@ class StaticTimingAnalyzer:
                 delay = graph.lutbank.lookup(
                     graph.c_lut_delay[sl], slew_q, driver_load[dst]
                 )
-                np.minimum.at(rat_flat, src * 2 + tin, rat[dst, tout] - delay)
+                # reprolint: allow[no-silent-nanfix] NaN propagates through the min merge to WNS/TNS; only numpy's warning is silenced
+                with np.errstate(invalid="ignore"):
+                    np.minimum.at(
+                        rat_flat, src * 2 + tin, rat[dst, tout] - delay
+                    )
             sl = graph.net_arcs.level_slice(level)
             if sl.stop > sl.start:
                 sinks = graph.net_sink[sl]
                 srcs = graph.net_src[sl]
                 cand = rat[sinks] - net_delay[sinks][:, None]
-                np.minimum.at(rat_flat, srcs * 2 + 0, cand[:, 0])
-                np.minimum.at(rat_flat, srcs * 2 + 1, cand[:, 1])
+                # reprolint: allow[no-silent-nanfix] NaN propagates through the min merge to WNS/TNS; only numpy's warning is silenced
+                with np.errstate(invalid="ignore"):
+                    np.minimum.at(rat_flat, srcs * 2 + 0, cand[:, 0])
+                    np.minimum.at(rat_flat, srcs * 2 + 1, cand[:, 1])
         return rat
 
 

@@ -516,7 +516,6 @@ class TestCli:
             "telemetry-kind-literal",
             "checkpoint-completeness",
             "backward-pair",
-            "dtype-flow",
             "spawn-safety",
             "determinism-taint",
             "contract-closure",
@@ -629,7 +628,7 @@ class TestBackendShimOnly:
                 "src/repro/place/density.py": (
                     "from ..core.backend import get_backend, xp\n"
                     "def f(a):\n"
-                    "    return get_backend().rfft(xp.asarray(a))\n"
+                    "    return get_backend().dctn(xp.asarray(a))\n"
                 ),
                 # Direct numpy use outside the ported kernels is normal.
                 "src/repro/sta/mod.py": (

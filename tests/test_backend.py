@@ -191,21 +191,6 @@ class TestAvailability:
 
 
 class TestNumpyBackendTransforms:
-    def test_rfft_preserves_float32(self):
-        """scipy-routed FFTs keep fp32 in complex64 (numpy.fft promotes)."""
-        be = get_backend()
-        a = np.random.default_rng(0).random((4, 16)).astype(np.float32)
-        spec = be.rfft(a)
-        assert spec.dtype == np.complex64
-        back = be.irfft(spec, n=16)
-        assert back.dtype == np.float32
-        np.testing.assert_allclose(back, a, rtol=1e-5, atol=1e-6)
-
-    def test_rfft_matches_numpy_fft_fp64(self):
-        be = get_backend()
-        a = np.random.default_rng(1).random((3, 32))
-        np.testing.assert_allclose(be.rfft(a), np.fft.rfft(a), rtol=1e-12)
-
     def test_dctn_roundtrip(self):
         be = get_backend()
         a = np.random.default_rng(2).random((8, 8))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.netlist import DesignBuilder, default_library
+from repro.netlist import CellType, DesignBuilder, Library, default_library
 from repro.place import DensityModel
 
 
@@ -176,110 +178,17 @@ class TestAllFixedEarlyOut:
     def test_all_fixed_design_returns_exact_zeros(self):
         d = _macro_design(extra_movable=False)
         assert not (~d.cell_fixed).any()
-        for solver in ("scipy", "planned"):
-            model = DensityModel(d, n_bins=16, solver=solver)
-            res = model.evaluate(d.cell_x, d.cell_y)
-            assert res.energy == 0.0
-            assert res.overflow == 0.0
-            assert np.abs(res.grad_x).max() == 0.0
-            assert np.abs(res.grad_y).max() == 0.0
-            assert res.potential is None
-
-
-class TestSolverOptions:
-    def test_unknown_solver_rejected(self, small_design):
-        with pytest.raises(ValueError, match="unknown density solver"):
-            DensityModel(small_design, n_bins=16, solver="fftw")
-
-    def test_unknown_precision_rejected(self, small_design):
-        with pytest.raises(ValueError, match="unknown density precision"):
-            DensityModel(small_design, n_bins=16, precision="fp16")
-
-    def test_fp32_requires_planned_solver(self, small_design):
-        with pytest.raises(ValueError, match="requires solver='planned'"):
-            DensityModel(small_design, n_bins=16, solver="scipy",
-                         precision="fp32")
-
-    def test_fp32_gradients_are_float64_at_the_boundary(
-        self, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        model = DensityModel(small_design, n_bins=16, solver="planned",
-                             precision="fp32")
-        res = model.evaluate(x, y)
-        assert res.grad_x.dtype == np.float64
-        assert res.grad_y.dtype == np.float64
-
-
-class TestSolverEquivalence:
-    """fp64 planned vs scipy, including an odd bin count.
-
-    The splat is shared (identical rho, hence identical overflow), the
-    energy agrees to machine precision via Parseval, and the gradients
-    differ only by the spectral-vs-central-difference field (a few
-    percent on these maps; O(1) if an axis or scale were wrong).
-    """
-
-    @pytest.mark.parametrize("n_bins", [17, 64, 128])
-    def test_planned_matches_scipy_fp64(
-        self, small_design, spread_positions, n_bins
-    ):
-        x, y = spread_positions
-        ref = DensityModel(small_design, n_bins=n_bins).evaluate(x, y)
-        fast = DensityModel(
-            small_design, n_bins=n_bins, solver="planned"
-        ).evaluate(x, y)
-        assert fast.overflow == ref.overflow
-        assert fast.energy == pytest.approx(ref.energy, rel=1e-12)
-        np.testing.assert_allclose(fast.density, ref.density, rtol=1e-12)
-        for g_ref, g_fast in ((ref.grad_x, fast.grad_x),
-                              (ref.grad_y, fast.grad_y)):
-            rel = np.linalg.norm(g_fast - g_ref) / np.linalg.norm(g_ref)
-            assert rel < 0.15
-
-    @pytest.mark.parametrize("n_bins", [17, 64])
-    def test_fp32_tracks_fp64_planned(
-        self, small_design, spread_positions, n_bins
-    ):
-        x, y = spread_positions
-        ref = DensityModel(
-            small_design, n_bins=n_bins, solver="planned"
-        ).evaluate(x, y)
-        fp32 = DensityModel(
-            small_design, n_bins=n_bins, solver="planned", precision="fp32"
-        ).evaluate(x, y)
-        assert fp32.overflow == ref.overflow  # splat stays fp64
-        assert fp32.energy == pytest.approx(ref.energy, rel=1e-5)
-        for g_ref, g_fp32 in ((ref.grad_x, fp32.grad_x),
-                              (ref.grad_y, fp32.grad_y)):
-            rel = np.linalg.norm(g_fp32 - g_ref) / np.linalg.norm(g_ref)
-            assert rel < 1e-5
-
-    def test_keep_potential_materialises_grid(
-        self, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        fast = DensityModel(
-            small_design, n_bins=16, solver="planned", keep_potential=True
-        ).evaluate(x, y)
-        ref = DensityModel(small_design, n_bins=16).evaluate(x, y)
-        assert fast.potential is not None
-        np.testing.assert_allclose(
-            fast.potential, ref.potential, rtol=1e-9, atol=1e-12
-        )
-
-    def test_planned_skips_potential_by_default(
-        self, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        fast = DensityModel(
-            small_design, n_bins=16, solver="planned"
-        ).evaluate(x, y)
-        assert fast.potential is None
+        model = DensityModel(d, n_bins=16)
+        res = model.evaluate(d.cell_x, d.cell_y)
+        assert res.energy == 0.0
+        assert res.overflow == 0.0
+        assert np.abs(res.grad_x).max() == 0.0
+        assert np.abs(res.grad_y).max() == 0.0
+        assert res.potential is None
 
 
 class TestFiniteDifferenceGradcheck:
-    """Central-difference check of d(energy)/dx for both solvers.
+    """Central-difference check of d(energy)/dx.
 
     The analytic gradient interpolates the field at the cell center
     while the FD quotient differentiates through the splat weights, so
@@ -288,13 +197,10 @@ class TestFiniteDifferenceGradcheck:
     swapped axis fails by an order of magnitude.
     """
 
-    @pytest.mark.parametrize("solver", ["scipy", "planned"])
-    def test_energy_gradient_matches_fd(
-        self, small_design, spread_positions, solver
-    ):
+    def test_energy_gradient_matches_fd(self, small_design, spread_positions):
         d = small_design
         x, y = spread_positions
-        model = DensityModel(d, n_bins=16, solver=solver)
+        model = DensityModel(d, n_bins=16)
         res = model.evaluate(x, y)
         probes = np.nonzero(~d.cell_fixed)[0][:24]
         eps = 1e-5 * model.hx
@@ -311,6 +217,81 @@ class TestFiniteDifferenceGradcheck:
         rel = np.linalg.norm(fd - grad) / np.linalg.norm(fd)
         assert rel < 0.3
         assert np.corrcoef(fd, grad)[0, 1] > 0.95
+
+
+_coord = st.floats(min_value=-0.2, max_value=1.2)  # die fraction; off-die too
+
+
+@st.composite
+def _random_design(draw):
+    """Random movable cells and 0-3 fixed macros on a random die.
+
+    Every cell gets its own library type so widths and heights are
+    drawn freely; positions range a fifth of the die past every edge.
+    """
+    die_w = draw(st.floats(min_value=20.0, max_value=200.0))
+    die_h = draw(st.floats(min_value=20.0, max_value=200.0))
+    library = Library("density_props")
+    builder = DesignBuilder("props", library, die=(0.0, 0.0, die_w, die_h))
+    builder.add_input("pad", x=0.0, y=0.0)  # zero-area fixed port
+    cells = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=0.5, max_value=6.0),
+            st.floats(min_value=1.0, max_value=4.0),
+            _coord,
+            _coord,
+        ),
+        min_size=1,
+        max_size=40,
+    ))
+    macros = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=0.05, max_value=0.4),
+            st.floats(min_value=0.05, max_value=0.4),
+            _coord,
+            _coord,
+        ),
+        max_size=3,
+    ))
+    for i, (w, h, fx, fy) in enumerate(cells):
+        library.add(CellType(f"C{i}", w, h))
+        builder.add_cell(f"c{i}", f"C{i}", x=fx * die_w, y=fy * die_h)
+    for k, (fw, fh, fx, fy) in enumerate(macros):
+        library.add(CellType(f"M{k}", fw * die_w, fh * die_h))
+        builder.add_cell(
+            f"m{k}", f"M{k}", x=fx * die_w, y=fy * die_h, fixed=True
+        )
+    return builder.build()
+
+
+class TestRandomizedProperties:
+    """Invariants of one evaluation on random designs and odd/even grids."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=_random_design(), n_bins=st.integers(min_value=8, max_value=64))
+    def test_density_invariants(self, design, n_bins):
+        model = DensityModel(design, n_bins=n_bins)
+        res = model.evaluate(design.cell_x, design.cell_y)
+        area = design.cell_w * design.cell_h
+        fixed = design.cell_fixed
+
+        # Splatting conserves movable plus fixed-macro area, off-die
+        # cells included (they are clamped onto the edge bins).
+        assert res.density.sum() * model.bin_area == pytest.approx(
+            float(area.sum()), rel=1e-9
+        )
+        # The Neumann Poisson operator is positive semidefinite, so the
+        # energy 0.5 * <rho, phi> is non-negative up to rounding.
+        scale = float(np.abs(res.density * res.potential).sum())
+        assert res.energy >= -1e-12 * scale * model.bin_area
+        # The DC mode is projected out: the potential has zero mean.
+        assert abs(res.potential.mean()) <= 1e-12 * (
+            np.abs(res.potential).max() + 1e-300
+        )
+        assert res.overflow >= 0.0
+        assert np.all(res.grad_x[fixed] == 0.0)
+        assert np.all(res.grad_y[fixed] == 0.0)
+        assert np.isfinite(res.grad_x).all() and np.isfinite(res.grad_y).all()
 
 
 class TestAutoBins:

@@ -1,9 +1,12 @@
 """Integration tests for the golden STA engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.netlist import FALL, RISE, make_chain_design
+from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.sta import StaticTimingAnalyzer, TimingGraph, run_sta
 
 
@@ -154,3 +157,26 @@ class TestGeneratedDesign:
         res2 = sta.run(x, y, forest=res1.forest)
         assert res1.wns_setup == pytest.approx(res2.wns_setup)
         assert res1.tns_setup == pytest.approx(res2.tns_setup)
+
+
+class TestCorruptedLuts:
+    def test_nan_setup_slack_reaches_wns_and_tns(self, small_design):
+        """NaN LUT entries must not read as clean setup timing.
+
+        Only unconstrained (+inf sentinel) endpoints are excluded from
+        WNS/TNS; NaN endpoints propagate, and the ``*.at`` merges raise
+        no RuntimeWarning on the way.
+        """
+        sta = StaticTimingAnalyzer(small_design)
+        inj = FaultInjector(FaultSpec("lut_corrupt", iteration=0))
+        inj.begin_iteration(0)
+        assert inj.corrupt_lutbank(sta.graph.lutbank)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = sta.run(compute_hold=True)
+        finally:
+            inj.restore()
+        assert np.isnan(result.endpoint_slack).any()
+        assert np.isnan(result.wns_setup)
+        assert np.isnan(result.tns_setup)
